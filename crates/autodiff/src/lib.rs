@@ -11,13 +11,19 @@
 //!
 //! ## Hot-path layout
 //!
-//! The tape stores nodes struct-of-arrays (`parents` / `grads` / `arity`
-//! in parallel vectors) behind a single-owner arena, so recording is one
-//! bump-allocation per op — no `RefCell` borrows, no per-op bounds assert
-//! (the overflow check lives on the amortized growth path) — and the
-//! backward sweep walks contiguous arrays. `Var ⊕ f64` operations are
-//! fused into single unary nodes. Forward values live on the [`Var`]
-//! itself, not the tape.
+//! The tape stores one packed node record per op (local partials, parent
+//! ids, arity) in a single vector behind a single-owner arena, so
+//! recording is one capacity check and one write per op — no `RefCell`
+//! borrows, no per-op bounds assert (the overflow check lives on the
+//! amortized growth path) — and the backward sweep reads one record per
+//! node. `Var ⊕ f64` operations are fused into single unary nodes.
+//! Forward values live on the [`Var`] itself, not the tape.
+//!
+//! Every recording entry point ([`Tape::var`], [`Tape::constant`],
+//! [`Tape::len`] and every [`Var`] operator) is `#[inline]`: none is
+//! generic, and downstream crates build without LTO, so without the
+//! attribute each recorded op would be an out-of-line call that costs
+//! more than its arithmetic.
 //!
 //! Three more pieces round out the hot path:
 //!
@@ -60,4 +66,4 @@ pub use legacy::{LegacyGradients, LegacyTape, LegacyVar};
 pub use scalar::{Ctx, Scalar, Values};
 pub use seg::{SegScratch, SegmentPlan};
 pub use tape::{Gradients, GradientsView, Tape};
-pub use var::{dot, max_of, prod, softmax, sum, Var};
+pub use var::{dot, max_of, prod, softmax, softmax_in_place, sum, Var};

@@ -57,41 +57,48 @@ impl<'t> Var<'t> {
 
     /// Natural logarithm. The input should be positive; `ln` of a
     /// non-positive value produces `NaN`/`-inf` like [`f64::ln`].
+    #[inline]
     pub fn ln(self) -> Var<'t> {
         self.unary(self.value.ln(), 1.0 / self.value)
     }
 
     /// Exponential.
+    #[inline]
     pub fn exp(self) -> Var<'t> {
         let e = self.value.exp();
         self.unary(e, e)
     }
 
     /// Power with a constant (non-differentiated) exponent.
+    #[inline]
     pub fn powf(self, k: f64) -> Var<'t> {
         let v = self.value.powf(k);
         self.unary(v, k * self.value.powf(k - 1.0))
     }
 
     /// Square root.
+    #[inline]
     pub fn sqrt(self) -> Var<'t> {
         let v = self.value.sqrt();
         self.unary(v, 0.5 / v)
     }
 
     /// Reciprocal `1/x`.
+    #[inline]
     pub fn recip(self) -> Var<'t> {
         let v = 1.0 / self.value;
         self.unary(v, -v * v)
     }
 
     /// Square.
+    #[inline]
     pub fn square(self) -> Var<'t> {
         self.unary(self.value * self.value, 2.0 * self.value)
     }
 
     /// Elementwise maximum, with the subgradient convention of routing the
     /// gradient to the larger input (ties route to `self`).
+    #[inline]
     pub fn max(self, rhs: Var<'t>) -> Var<'t> {
         if self.value >= rhs.value {
             self.binary(rhs, self.value, 1.0, 0.0)
@@ -101,6 +108,7 @@ impl<'t> Var<'t> {
     }
 
     /// Elementwise minimum (subgradient; ties route to `self`).
+    #[inline]
     pub fn min(self, rhs: Var<'t>) -> Var<'t> {
         if self.value <= rhs.value {
             self.binary(rhs, self.value, 1.0, 0.0)
@@ -110,6 +118,7 @@ impl<'t> Var<'t> {
     }
 
     /// Rectified linear unit `max(x, 0)`.
+    #[inline]
     pub fn relu(self) -> Var<'t> {
         if self.value > 0.0 {
             self.unary(self.value, 1.0)
@@ -120,6 +129,7 @@ impl<'t> Var<'t> {
 
     /// `max(k − x, 0)` — the hinge used by the invalid-mapping penalty
     /// (Eq. 18 of the paper with `k = 1`).
+    #[inline]
     pub fn hinge_below(self, k: f64) -> Var<'t> {
         if self.value < k {
             self.unary(k - self.value, -1.0)
@@ -129,6 +139,7 @@ impl<'t> Var<'t> {
     }
 
     /// The tape this variable is recorded on.
+    #[inline]
     pub fn tape(self) -> &'t Tape {
         self.tape
     }
@@ -138,6 +149,7 @@ macro_rules! impl_binop {
     ($trait:ident, $method:ident, |$a:ident, $b:ident| $val:expr, |$av:ident, $bv:ident| ($ga:expr, $gb:expr)) => {
         impl<'t> $trait for Var<'t> {
             type Output = Var<'t>;
+            #[inline]
             fn $method(self, rhs: Var<'t>) -> Var<'t> {
                 let ($a, $b) = (self.value, rhs.value);
                 let value = $val;
@@ -193,6 +205,7 @@ impl<'t> Div<f64> for Var<'t> {
 
 impl<'t> Neg for Var<'t> {
     type Output = Var<'t>;
+    #[inline]
     fn neg(self) -> Var<'t> {
         self.unary(-self.value, -1.0)
     }
@@ -200,6 +213,7 @@ impl<'t> Neg for Var<'t> {
 
 impl<'t> Add<Var<'t>> for f64 {
     type Output = Var<'t>;
+    #[inline]
     fn add(self, rhs: Var<'t>) -> Var<'t> {
         rhs + self
     }
@@ -207,6 +221,7 @@ impl<'t> Add<Var<'t>> for f64 {
 
 impl<'t> Mul<Var<'t>> for f64 {
     type Output = Var<'t>;
+    #[inline]
     fn mul(self, rhs: Var<'t>) -> Var<'t> {
         rhs * self
     }
@@ -214,6 +229,7 @@ impl<'t> Mul<Var<'t>> for f64 {
 
 impl<'t> Sub<Var<'t>> for f64 {
     type Output = Var<'t>;
+    #[inline]
     fn sub(self, rhs: Var<'t>) -> Var<'t> {
         rhs.unary(self - rhs.value, -1.0)
     }
@@ -224,6 +240,7 @@ impl<'t> Div<Var<'t>> for f64 {
     // `k / v` is recorded as `v.recip() * k`: one reciprocal node plus a
     // fused scale, which is exactly the intended derivative chain.
     #[allow(clippy::suspicious_arithmetic_impl)]
+    #[inline]
     fn div(self, rhs: Var<'t>) -> Var<'t> {
         rhs.recip() * self
     }
@@ -292,16 +309,22 @@ impl<'t> Ctx for &'t Tape {
     }
 }
 
-/// Sum of a slice of scalars. Returns a zero constant for an empty slice.
+/// Sum of a sequence of scalars (a slice, an array, or any iterator of
+/// references), folded left to right. Returns a zero constant for an
+/// empty sequence.
 ///
 /// # Panics
 ///
 /// Panics if `vars` mixes variables from different tapes (debug builds may
 /// not detect this; callers must keep tapes separate).
-pub fn sum<C: Ctx>(cx: C, vars: &[C::N]) -> C::N {
-    match vars.split_first() {
+pub fn sum<'a, C: Ctx>(cx: C, vars: impl IntoIterator<Item = &'a C::N>) -> C::N
+where
+    C::N: 'a,
+{
+    let mut vars = vars.into_iter();
+    match vars.next() {
         None => cx.constant(0.0),
-        Some((&first, rest)) => rest.iter().fold(first, |acc, &v| acc + v),
+        Some(&first) => vars.fold(first, |acc, &v| acc + v),
     }
 }
 
@@ -314,28 +337,49 @@ pub fn prod<C: Ctx>(cx: C, vars: &[C::N]) -> C::N {
     }
 }
 
-/// Maximum over a slice of scalars (subgradient semantics).
+/// Maximum over a sequence of scalars (subgradient semantics), folded
+/// left to right, so ties route to the earliest entry.
 ///
-/// Returns negative infinity constant for an empty slice.
-pub fn max_of<C: Ctx>(cx: C, vars: &[C::N]) -> C::N {
-    match vars.split_first() {
+/// Returns negative infinity constant for an empty sequence.
+pub fn max_of<'a, C: Ctx>(cx: C, vars: impl IntoIterator<Item = &'a C::N>) -> C::N
+where
+    C::N: 'a,
+{
+    let mut vars = vars.into_iter();
+    match vars.next() {
         None => cx.constant(f64::NEG_INFINITY),
-        Some((&first, rest)) => rest.iter().fold(first, |acc, &v| acc.max(v)),
+        Some(&first) => vars.fold(first, |acc, &v| acc.max(v)),
     }
 }
 
 /// Numerically-stable softmax over a slice of scalars (Eq. 16's σ).
+///
+/// Allocates the result; [`softmax_in_place`] records the same ops into
+/// the caller's storage.
 pub fn softmax<C: Ctx>(cx: C, vars: &[C::N]) -> Vec<C::N> {
-    if vars.is_empty() {
-        return Vec::new();
+    let mut out = vars.to_vec();
+    softmax_in_place(cx, &mut out);
+    out
+}
+
+/// Replace every entry of `xs` with its softmax weight, recording exactly
+/// the ops of [`softmax`] (all shifted exponentials, their sum, then the
+/// divisions) without allocating.
+pub fn softmax_in_place<C: Ctx>(cx: C, xs: &mut [C::N]) {
+    if xs.is_empty() {
+        return;
     }
-    let m = vars
+    let m = xs
         .iter()
         .map(|v| v.value())
         .fold(f64::NEG_INFINITY, f64::max);
-    let exps: Vec<C::N> = vars.iter().map(|&v| (v - m).exp()).collect();
-    let denom = sum(cx, &exps);
-    exps.into_iter().map(|e| e / denom).collect()
+    for x in xs.iter_mut() {
+        *x = (*x - m).exp();
+    }
+    let denom = sum(cx, &*xs);
+    for x in xs.iter_mut() {
+        *x = *x / denom;
+    }
 }
 
 /// Dot product of two equal-length slices.
@@ -492,6 +536,9 @@ mod tests {
         assert_eq!(max_of(cx, &xs), 4.0);
         let sm = softmax(cx, &xs);
         assert!((sm.iter().sum::<f64>() - 1.0).abs() < 1e-12);
+        let mut inline = xs;
+        softmax_in_place(cx, &mut inline);
+        assert_eq!(inline.to_vec(), sm);
         assert_eq!(dot(cx, &xs, &xs), 29.0);
     }
 }

@@ -1,15 +1,16 @@
 //! Hot-path performance trajectory: measured medians for tape recording,
 //! the backward sweep, and a full gradient-descent step at several network
-//! depths, on both the current SoA tape and the pre-refactor
-//! [`LegacyTape`] — written to `BENCH_6.json` at the repository root.
+//! depths, on both the current tape and the pre-refactor
+//! [`LegacyTape`] — written to `BENCH_6.json` at the workspace root.
 //!
 //! The legacy path runs the *same* generic loss builder
-//! ([`build_loss_in`]) on the `RefCell`-based AoS tape with the
-//! allocation pattern of the pre-PR descent loop (fresh leaf/gradient
-//! vectors every step), so `gd_step_speedup` isolates exactly what this
-//! refactor changed: single-borrow SoA recording, one-node fused
-//! scalar ops, the segmented sweep on reused scratch, and
-//! allocation-free parameter updates.
+//! ([`build_loss_in`]) on the `RefCell`-based tape with the allocation
+//! pattern of the original descent loop (fresh leaf/gradient vectors
+//! every step), so `gd_step_speedup` isolates what the hot-path rewrites
+//! changed: single-borrow recording of one packed node per op through
+//! inlined operators, one-node fused scalar ops, allocation-free loss
+//! assembly, the segmented sweep on reused scratch, and allocation-free
+//! parameter updates. The file is found through [`bench_json_path`].
 //!
 //! `repro bench` regenerates the file; `repro --smoke bench` re-runs a
 //! seconds-scale measurement to prove the kernels still execute, then
@@ -34,9 +35,9 @@ pub const SCHEMA: &str = "dosa-hotpath-bench-v1";
 pub struct PerfRow {
     /// Number of layers in the measured loss.
     pub layers: usize,
-    /// Forward recording of the whole loss on the SoA tape.
+    /// Forward recording of the whole loss on the current tape.
     pub record_ns: f64,
-    /// Serial backward sweep on reused scratch (SoA tape).
+    /// Serial backward sweep on reused scratch (current tape).
     pub sweep_ns: f64,
     /// Full descent step: set params, record, sweep, gather, update.
     pub gd_step_ns: f64,
@@ -115,7 +116,7 @@ fn measure_depth(n: usize, samples: usize, batch: usize) -> PerfRow {
     let hier = Hierarchy::gemmini();
     let opts = LossOptions::default();
 
-    // --- SoA tape: record / sweep / full step, all on reused buffers. ---
+    // --- Current tape: record / sweep / full step, all on reused buffers. ---
     let tape = Tape::new();
     let mut plan = SegmentPlan::new();
     let mut leaves: Vec<Var<'_>> = Vec::new();
@@ -346,9 +347,28 @@ impl PerfReport {
     }
 }
 
-/// Where the perf trajectory lives: `BENCH_6.json` at the repository root.
+/// Where the perf trajectory lives: `BENCH_6.json` at the root of the
+/// workspace the current directory lies in (the current directory itself
+/// outside any workspace). Resolved at run time, so a binary built in one
+/// checkout and run from another reads that other checkout's file.
 pub fn bench_json_path() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_6.json")
+    let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
+    workspace_root(&cwd).unwrap_or(cwd).join("BENCH_6.json")
+}
+
+/// The nearest ancestor of `start` (itself included) whose `Cargo.toml`
+/// declares a workspace with `members` — the repository root. A package
+/// that is its own empty workspace, like `svcbench/`, is walked past.
+fn workspace_root(start: &Path) -> Option<PathBuf> {
+    start
+        .ancestors()
+        .find(|dir| {
+            std::fs::read_to_string(dir.join("Cargo.toml")).is_ok_and(|toml| {
+                toml.lines().any(|l| l.trim() == "[workspace]")
+                    && toml.lines().any(|l| l.trim_start().starts_with("members"))
+            })
+        })
+        .map(Path::to_path_buf)
 }
 
 /// Pull the number following `"key":` out of a JSON object line.
@@ -457,6 +477,38 @@ mod tests {
                 .collect(),
         };
         validate_json(&report.to_json()).unwrap();
+    }
+
+    #[test]
+    fn workspace_root_walks_up_past_nested_workspaces() {
+        let root = std::env::temp_dir().join(format!("dosa_ws_root_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let deep = root.join("crates/pkg/src");
+        let nested = root.join("svcbench/src");
+        std::fs::create_dir_all(&deep).unwrap();
+        std::fs::create_dir_all(&nested).unwrap();
+        std::fs::write(
+            root.join("Cargo.toml"),
+            "[workspace]\nmembers = [\"crates/*\"]\n",
+        )
+        .unwrap();
+        std::fs::write(
+            root.join("crates/pkg/Cargo.toml"),
+            "[package]\nname = \"pkg\"\n",
+        )
+        .unwrap();
+        std::fs::write(
+            root.join("svcbench/Cargo.toml"),
+            "[package]\nname = \"svcbench\"\n\n[workspace]\n",
+        )
+        .unwrap();
+
+        assert_eq!(workspace_root(&deep), Some(root.clone()));
+        assert_eq!(workspace_root(&nested), Some(root.clone()));
+        assert_eq!(workspace_root(&root), Some(root.clone()));
+        std::fs::remove_file(root.join("Cargo.toml")).unwrap();
+        assert_eq!(workspace_root(&deep), None);
+        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]

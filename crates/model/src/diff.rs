@@ -15,6 +15,7 @@
 //! recording those multiplications — `x * 1` is `x` down to the last bit,
 //! and unit factors are always constants, so no gradient is lost.
 
+use crate::per_layer::PerLayer;
 use crate::relaxed::RelaxedMapping;
 use dosa_accel::{
     level, HardwareConfig, Hierarchy, EPA_ACC_BASE, EPA_ACC_SLOPE, EPA_DRAM, EPA_MAC,
@@ -232,6 +233,20 @@ impl<N: Scalar> FactorVars<N> {
         p.finish(self.unit)
     }
 
+    /// The entries the PE-array side is the max over: the unit stand-in
+    /// first, then every live spatial factor in level-major order, so the
+    /// max-fold's tie routing matches a full 28-entry scan (unit-valued
+    /// entries precede the live ACC/C and SPAD/K factors).
+    fn pe_sides(&self) -> impl Iterator<Item = &N> + '_ {
+        let live = (0..NUM_LEVELS).flat_map(move |lvl| {
+            Dim::ALL
+                .into_iter()
+                .filter(move |&d| !self.spatial_is_unit(lvl, d))
+                .map(move |d| &self.spatial[lvl][d.index()])
+        });
+        std::iter::once(&self.unit).chain(live)
+    }
+
     /// The invalid-mapping penalty (Eq. 18): `Σ max(1 − f, 0)` over every
     /// factor, including the inferred DRAM factors. Unit factors contribute
     /// an exact zero and are skipped.
@@ -300,36 +315,38 @@ impl<N: Scalar> HwVars<N> {
         layers: &[(&Problem, &FactorVars<N>)],
         fixed_pe_side: Option<u64>,
     ) -> HwVars<N> {
-        Self::derive_with_pe_in(cx, layers, fixed_pe_side, &mut SegmentPlan::disabled())
+        Self::derive_with_pe_in(
+            cx,
+            layers.iter().copied(),
+            fixed_pe_side,
+            &mut SegmentPlan::disabled(),
+        )
     }
 
     /// Segment-aware form of [`HwVars::derive_with_pe`]: each layer's
     /// capacity terms are recorded as one chunk of a parallel group on
     /// `plan` (they only interact through the cross-layer max, which is
-    /// recorded serially after the group).
-    pub fn derive_with_pe_in<C: Ctx<N = N>>(
+    /// recorded serially after the group). Takes the layers as an
+    /// iterator so callers need not collect them, and allocates nothing
+    /// for up to 32 layers.
+    pub fn derive_with_pe_in<'a, C, I>(
         cx: C,
-        layers: &[(&Problem, &FactorVars<N>)],
+        layers: I,
         fixed_pe_side: Option<u64>,
         plan: &mut SegmentPlan,
-    ) -> HwVars<N> {
-        let mut sides = Vec::new();
-        let mut accs = Vec::new();
-        let mut spads = Vec::new();
+    ) -> HwVars<N>
+    where
+        C: Ctx<N = N>,
+        N: 'a,
+        I: IntoIterator<Item = (&'a Problem, &'a FactorVars<N>)>,
+        I::IntoIter: Clone,
+    {
+        let layers = layers.into_iter();
+        let mut accs = PerLayer::new();
+        let mut spads = PerLayer::new();
         plan.serial_to(cx.mark());
         plan.begin_group();
-        for (p, fv) in layers {
-            // The unit stand-in goes first so max-fold tie routing matches
-            // a full 28-entry scan (unit-valued entries precede the live
-            // ACC/C and SPAD/K factors in level-major order).
-            sides.push(fv.unit);
-            for lvl in 0..NUM_LEVELS {
-                for d in Dim::ALL {
-                    if !fv.spatial_is_unit(lvl, d) {
-                        sides.push(fv.spatial(lvl, d));
-                    }
-                }
-            }
+        for (p, fv) in layers.clone() {
             accs.push(tile_words_var(
                 cx,
                 p,
@@ -346,15 +363,15 @@ impl<N: Scalar> HwVars<N> {
         let pe_side = match fixed_pe_side {
             Some(s) => cx.constant(s as f64),
             None => {
-                let side = max_of(cx, &sides);
+                let side = max_of(cx, layers.flat_map(|(_, fv)| fv.pe_sides()));
                 // Cap at the architectural maximum (§6.1).
                 side.min(cx.constant(MAX_PE_SIDE as f64))
             }
         };
         let hw = HwVars {
             pe_side,
-            acc_words: max_of(cx, &accs),
-            spad_words: max_of(cx, &spads),
+            acc_words: max_of(cx, accs.iter()),
+            spad_words: max_of(cx, spads.iter()),
         };
         plan.serial_to(cx.mark());
         hw
@@ -466,16 +483,23 @@ pub fn layer_perf_vars<C: Ctx>(
 
     for t in Tensor::ALL {
         let rel_dims = t.dims();
-        let holding: Vec<usize> = (0..NUM_LEVELS)
-            .filter(|&i| hier.level(i).stores(t))
-            .collect();
+        // At most NUM_LEVELS levels hold a tensor, so fixed arrays hold the
+        // per-level terms; unused slots keep the `unit` placeholder and are
+        // never read.
+        let mut holding = [0usize; NUM_LEVELS];
+        let mut held = 0;
+        for i in (0..NUM_LEVELS).filter(|&i| hier.level(i).stores(t)) {
+            holding[held] = i;
+            held += 1;
+        }
+        let holding = &holding[..held];
         let outermost = *holding.last().expect("DRAM stores everything");
 
-        let mut tiles: Vec<C::N> = Vec::with_capacity(holding.len());
-        let mut refetches: Vec<(C::N, C::N)> = Vec::with_capacity(holding.len());
-        for &i in &holding {
-            tiles.push(tile_words_var(cx, problem, fv, i, t));
-            refetches.push(refetch_var(fv, i, rel_dims));
+        let mut tiles = [fv.unit; NUM_LEVELS];
+        let mut refetches = [(fv.unit, fv.unit); NUM_LEVELS];
+        for (pos, &i) in holding.iter().enumerate() {
+            tiles[pos] = tile_words_var(cx, problem, fv, i, t);
+            refetches[pos] = refetch_var(fv, i, rel_dims);
         }
 
         for (pos, &i) in holding.iter().enumerate() {

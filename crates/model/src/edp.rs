@@ -20,9 +20,10 @@
 //! without changing a single gradient bit.
 
 use crate::diff::{layer_perf_vars, FactorVars, HwVars};
+use crate::per_layer::PerLayer;
 use crate::relaxed::RelaxedMapping;
 use dosa_accel::{HardwareConfig, Hierarchy};
-use dosa_autodiff::{softmax, sum, Ctx, Scalar, SegmentPlan, Tape, Values, Var};
+use dosa_autodiff::{softmax_in_place, sum, Ctx, Scalar, SegmentPlan, Tape, Values, Var};
 use dosa_timeloop::{LoopOrder, Stationarity};
 use dosa_workload::Layer;
 
@@ -91,8 +92,12 @@ pub struct BuiltLoss<'t> {
 /// recording segment boundaries on `plan` and appending every leaf (layer
 /// by layer, [`RelaxedMapping::params`] order) to `leaves_out`.
 ///
-/// Callers that reuse `plan` and `leaves_out` across steps (clearing them
-/// first) allocate nothing here beyond the recording itself.
+/// The builder itself makes no heap allocation: per-layer terms live in
+/// stack-resident lists (up to 32 layers; longer lists spill the excess
+/// to the heap) and per-level terms in fixed arrays. Callers that reuse
+/// the tape, `plan` and `leaves_out` across steps (clearing them first)
+/// therefore allocate nothing at all once those have grown on the first
+/// step — `dosa-search`'s `alloc_free` test pins this on ResNet-50.
 ///
 /// # Panics
 ///
@@ -110,7 +115,7 @@ pub fn build_loss_in<C: Ctx>(
     assert!(!layers.is_empty(), "need at least one layer");
 
     // Group 1: per-layer factor variables (leaves, exps, DRAM inference).
-    let mut factor_vars = Vec::with_capacity(layers.len());
+    let mut factor_vars = PerLayer::new();
     plan.serial_to(cx.mark());
     plan.begin_group();
     for (layer, r) in layers.iter().zip(relaxed) {
@@ -124,43 +129,41 @@ pub fn build_loss_in<C: Ctx>(
     }
     plan.end_group();
 
-    let refs: Vec<(&dosa_workload::Problem, &FactorVars<C::N>)> = layers
-        .iter()
-        .zip(&factor_vars)
-        .map(|(l, fv)| (&l.problem, fv))
-        .collect();
     // Group 2 (inside derive_with_pe_in): per-layer capacity terms, then
     // the serial cross-layer max.
     let hw = match opts.fixed_hw {
         Some(cfg) => HwVars::fixed(cx, &cfg),
-        None => HwVars::derive_with_pe_in(cx, &refs, opts.fixed_pe_side, plan),
+        None => {
+            let refs = layers.iter().map(|l| &l.problem).zip(factor_vars.iter());
+            HwVars::derive_with_pe_in(cx, refs, opts.fixed_pe_side, plan)
+        }
     };
 
     // Group 3: per-layer performance terms (including the softmax ordering
     // variants — each layer's three orderings stay inside its chunk).
-    let mut energies = Vec::with_capacity(layers.len());
-    let mut latencies = Vec::with_capacity(layers.len());
+    let mut energies = PerLayer::new();
+    let mut latencies = PerLayer::new();
     plan.serial_to(cx.mark());
     plan.begin_group();
-    for (layer, fv) in layers.iter().zip(&factor_vars) {
+    for (layer, fv) in layers.iter().zip(factor_vars.iter()) {
         let count = layer.count as f64;
         if opts.softmax_ordering {
             // Evaluate all three canonical orderings and weight them by a
             // softmax over -tau * ln(EDP) (Eq. 15-17).
-            let mut option_e = Vec::with_capacity(3);
-            let mut option_l = Vec::with_capacity(3);
-            let mut scores = Vec::with_capacity(3);
-            for s in Stationarity::ALL {
+            let options = Stationarity::ALL.map(|s| {
                 let mut fv_s = *fv;
                 fv_s.orders = [LoopOrder::canonical(s); dosa_accel::NUM_LEVELS];
                 let perf = layer_perf_vars(cx, &layer.problem, &fv_s, &hw, hier);
-                scores.push(-(perf.energy_uj * perf.latency).ln() * opts.softmax_temperature);
-                option_e.push(perf.energy_uj);
-                option_l.push(perf.latency);
-            }
-            let w = softmax(cx, &scores);
-            let e = dosa_autodiff::dot(cx, &w, &option_e);
-            let l = dosa_autodiff::dot(cx, &w, &option_l);
+                let score = -(perf.energy_uj * perf.latency).ln() * opts.softmax_temperature;
+                (score, perf.energy_uj, perf.latency)
+            });
+            let mut w = options.map(|(score, _, _)| score);
+            softmax_in_place(cx, &mut w);
+            // `dot(w, option)`: all products first, then their sum.
+            let e: [C::N; 3] = core::array::from_fn(|k| w[k] * options[k].1);
+            let e = sum(cx, &e);
+            let l: [C::N; 3] = core::array::from_fn(|k| w[k] * options[k].2);
+            let l = sum(cx, &l);
             energies.push(e * count);
             latencies.push(l * count);
         } else {
@@ -173,12 +176,12 @@ pub fn build_loss_in<C: Ctx>(
     plan.end_group();
 
     // Serial tail: cross-layer sums, EDP, penalty and the final loss.
-    let energy = sum(cx, &energies);
-    let latency = sum(cx, &latencies);
+    let energy = sum(cx, energies.iter());
+    let latency = sum(cx, latencies.iter());
     let edp = energy * latency;
 
     let mut pen = cx.constant(0.0);
-    for fv in &factor_vars {
+    for fv in factor_vars.iter() {
         pen = pen + fv.penalty(cx);
     }
     let loss = edp.ln() + pen * opts.penalty_weight;

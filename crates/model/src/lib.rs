@@ -33,6 +33,7 @@
 
 mod diff;
 mod edp;
+mod per_layer;
 mod relaxed;
 
 pub use diff::{layer_perf_vars, tile_words_var, FactorVars, HwVars, LayerPerfVars};

@@ -1,33 +1,39 @@
 //! Hot-path parity for the generic loss builder: [`build_loss_in`] on the
-//! new SoA [`Tape`] must match the pre-refactor [`LegacyTape`] bit-for-bit
-//! on randomized multi-layer parameter points, and the segmented backward
-//! sweep must be bit-identical to the flat sweep at every worker budget.
+//! [`Tape`] must match the pre-refactor [`LegacyTape`] bit-for-bit — loss
+//! and every leaf gradient — on every unique layer of ResNet-50 (21) and
+//! BERT (5) at randomized relaxed points, and the segmented backward sweep
+//! must be bit-identical to the flat sweep at every worker budget.
 
-use dosa_accel::Hierarchy;
+use dosa_accel::{Hierarchy, NUM_LEVELS};
 use dosa_autodiff::{LegacyTape, Scalar, SegScratch, SegmentPlan, Tape};
 use dosa_model::{build_loss_in, LossOptions, RelaxedMapping, PARAMS_PER_LAYER};
 use dosa_timeloop::Stationarity;
-use dosa_workload::{Layer, Problem};
+use dosa_workload::{unique_layers, Layer, Network};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-fn layers() -> Vec<Layer> {
-    vec![
-        Layer::repeated(Problem::conv("a", 3, 3, 28, 28, 64, 64, 1).unwrap(), 2),
-        Layer::once(Problem::matmul("b", 128, 256, 512).unwrap()),
-        Layer::once(Problem::conv("c", 1, 1, 14, 14, 256, 128, 1).unwrap()),
+fn networks() -> [(Network, Vec<Layer>); 2] {
+    [
+        (Network::ResNet50, unique_layers(Network::ResNet50)),
+        (Network::Bert, unique_layers(Network::Bert)),
     ]
 }
 
+/// A random relaxed point: log-factors on both sides of zero (so some
+/// factors sit below one and the Eq. 18 hinge is live) and a random
+/// ordering per level.
 fn random_start(layers: &[Layer], rng: &mut StdRng) -> Vec<RelaxedMapping> {
     layers
         .iter()
         .map(|_| {
             let mut r = RelaxedMapping::identity(Stationarity::WeightStationary);
             let v: Vec<f64> = (0..PARAMS_PER_LAYER)
-                .map(|_| rng.gen_range(0.05f64..1.5))
+                .map(|_| rng.gen_range(-0.5f64..2.0))
                 .collect();
             r.set_params(&v);
+            for lvl in 0..NUM_LEVELS {
+                r.orders[lvl] = Stationarity::ALL[rng.gen_range(0..Stationarity::ALL.len())];
+            }
             r
         })
         .collect()
@@ -43,56 +49,57 @@ fn options() -> [LossOptions; 2] {
     ]
 }
 
-/// The legacy AoS tape and the new SoA tape produce bit-identical loss
-/// values and leaf gradients on randomized parameter points, for both the
-/// fixed-ordering and softmax-ordering losses.
+/// The legacy tape and the tape produce bit-identical loss values and
+/// leaf gradients on randomized parameter points of real networks, for
+/// both the fixed-ordering and softmax-ordering losses.
 #[test]
-fn legacy_and_soa_tapes_agree_bitwise_on_random_points() {
-    let layers = layers();
+fn legacy_and_tape_agree_bitwise_on_real_networks() {
     let hier = Hierarchy::gemmini();
     let mut rng = StdRng::seed_from_u64(61);
-    for round in 0..8 {
-        let relaxed = random_start(&layers, &mut rng);
-        for opts in options() {
-            let tape = Tape::new();
-            let mut leaves = Vec::new();
-            let built = build_loss_in(
-                &tape,
-                &layers,
-                &relaxed,
-                &hier,
-                &opts,
-                &mut SegmentPlan::disabled(),
-                &mut leaves,
-            );
-            let grads = tape.backward(built.loss);
-            let flat = grads.wrt_slice(&leaves);
-
-            let legacy = LegacyTape::new();
-            let mut lleaves = Vec::new();
-            let lbuilt = build_loss_in(
-                &legacy,
-                &layers,
-                &relaxed,
-                &hier,
-                &opts,
-                &mut SegmentPlan::disabled(),
-                &mut lleaves,
-            );
-            assert_eq!(
-                lbuilt.loss.value().to_bits(),
-                built.loss.value().to_bits(),
-                "loss diverged on round {round}"
-            );
-            assert_eq!(lbuilt.edp.value().to_bits(), built.edp.value().to_bits());
-            let lgrads = legacy.backward(lbuilt.loss);
-            assert_eq!(lleaves.len(), leaves.len());
-            for (i, &lv) in lleaves.iter().enumerate() {
-                assert_eq!(
-                    lgrads.wrt(lv).to_bits(),
-                    flat[i].to_bits(),
-                    "gradient {i} diverged on round {round}"
+    for (net, layers) in networks() {
+        for round in 0..3 {
+            let relaxed = random_start(&layers, &mut rng);
+            for opts in options() {
+                let tape = Tape::new();
+                let mut leaves = Vec::new();
+                let built = build_loss_in(
+                    &tape,
+                    &layers,
+                    &relaxed,
+                    &hier,
+                    &opts,
+                    &mut SegmentPlan::disabled(),
+                    &mut leaves,
                 );
+                let grads = tape.backward(built.loss);
+                let flat = grads.wrt_slice(&leaves);
+
+                let legacy = LegacyTape::new();
+                let mut lleaves = Vec::new();
+                let lbuilt = build_loss_in(
+                    &legacy,
+                    &layers,
+                    &relaxed,
+                    &hier,
+                    &opts,
+                    &mut SegmentPlan::disabled(),
+                    &mut lleaves,
+                );
+                assert_eq!(
+                    lbuilt.loss.value().to_bits(),
+                    built.loss.value().to_bits(),
+                    "{net:?}: loss diverged on round {round}"
+                );
+                assert_eq!(lbuilt.edp.value().to_bits(), built.edp.value().to_bits());
+                let lgrads = legacy.backward(lbuilt.loss);
+                assert_eq!(lleaves.len(), leaves.len());
+                for (i, &lv) in lleaves.iter().enumerate() {
+                    assert_eq!(
+                        lgrads.wrt(lv).to_bits(),
+                        flat[i].to_bits(),
+                        "{net:?}: gradient {i} diverged on round {round}"
+                    );
+                }
             }
         }
     }
@@ -103,10 +110,9 @@ fn legacy_and_soa_tapes_agree_bitwise_on_random_points() {
 /// backward sweep for worker budgets 1, 2, and 8.
 #[test]
 fn segmented_model_backward_matches_flat_for_every_worker_budget() {
-    let layers = layers();
     let hier = Hierarchy::gemmini();
     let mut rng = StdRng::seed_from_u64(7);
-    for _ in 0..4 {
+    for (_, layers) in networks() {
         let relaxed = random_start(&layers, &mut rng);
         for opts in options() {
             let tape = Tape::new();

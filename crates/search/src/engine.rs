@@ -86,7 +86,10 @@ pub trait DiffLoss: Sync {
     /// boundaries are recorded on `plan` so the engine can sweep the
     /// backward pass on parallel workers (bit-identically; see
     /// `dosa_autodiff::SegmentPlan`). Both buffers arrive cleared and are
-    /// reused across steps, so steady-state recording allocates nothing.
+    /// reused across steps, as is the tape. [`EdpLoss`] makes no heap
+    /// allocation here once they have grown on the first step (pinned by
+    /// the `alloc_free` test); [`PredictedLatencyLoss`] still collects its
+    /// per-layer terms in fresh vectors.
     fn build<'t>(
         &self,
         tape: &'t Tape,
@@ -249,13 +252,8 @@ impl DiffLoss for PredictedLatencyLoss<'_> {
             plan.chunk_to(tape.len() as u32);
         }
         plan.end_group();
-        let refs: Vec<(&Problem, &FactorVars<Var<'t>>)> = self
-            .layers
-            .iter()
-            .zip(&factor_vars)
-            .map(|(l, fv)| (&l.problem, fv))
-            .collect();
-        let hw = HwVars::derive_with_pe_in(tape, &refs, Some(self.pe_side), plan);
+        let refs = self.layers.iter().map(|l| &l.problem).zip(&factor_vars);
+        let hw = HwVars::derive_with_pe_in(tape, refs, Some(self.pe_side), plan);
         let mut energies = Vec::new();
         let mut latencies = Vec::new();
         plan.serial_to(tape.len() as u32);

@@ -7,7 +7,7 @@ use dosa_accel::{HardwareConfig, Hierarchy, MAX_PE_SIDE};
 use dosa_autodiff::{SegScratch, SegmentPlan, Tape};
 use dosa_model::{build_loss, LossOptions, RelaxedMapping};
 use dosa_search::engine::DiffLoss;
-use dosa_search::{cosa_mapping, EdpLoss, LoopOrderStrategy};
+use dosa_search::{cosa_mapping, dosa_search, EdpLoss, GdConfig, LoopOrderStrategy};
 use dosa_workload::{unique_layers, Layer, Network};
 
 fn fixture() -> (Vec<Layer>, Vec<RelaxedMapping>, Hierarchy) {
@@ -123,4 +123,36 @@ fn edp_engine_reproduces_golden_values() {
         close(gsum, golden_gsum),
         "gsum {gsum} vs golden {golden_gsum}"
     );
+}
+
+/// A short seeded `dosa_search` on all 21 unique ResNet-50 layers lands on
+/// exactly these `best_edp` bits (recorded before the tape's node layout
+/// and the loss builder's storage were rewritten). Any change to a recorded
+/// op, a local partial or an accumulation order moves them; both the
+/// fixed-ordering and the softmax-ordering loss are pinned.
+#[test]
+fn short_resnet50_search_best_edp_bits_are_pinned() {
+    let layers = unique_layers(Network::ResNet50);
+    let hier = Hierarchy::gemmini();
+    let golden = [
+        (LoopOrderStrategy::Iterate, 0x423a_4a08_8039_d4f7_u64),
+        (LoopOrderStrategy::Softmax, 0x423c_9905_c77a_5093_u64),
+    ];
+    for (strategy, bits) in golden {
+        let cfg = GdConfig {
+            start_points: 2,
+            steps_per_start: 60,
+            round_every: 20,
+            seed: 4,
+            strategy,
+            ..GdConfig::default()
+        };
+        let result = dosa_search(&layers, &hier, &cfg);
+        assert_eq!(
+            result.best_edp.to_bits(),
+            bits,
+            "{strategy:?}: best_edp {} moved",
+            result.best_edp
+        );
+    }
 }
